@@ -1,8 +1,11 @@
 #include "src/cleaning/add_missing_answer.h"
 
+#include <algorithm>
 #include <deque>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/cleaning/constraint_enforcer.h"
 #include "src/common/thread_pool.h"
@@ -229,6 +232,37 @@ common::Result<InsertResult> AddMissingAnswer(
                                          &out.edits));
   }
   out.succeeded = evaluator.IsSatisfiable(q_t, empty);
+  return out;
+}
+
+common::Result<InsertResult> AddMissingAnswer(
+    const query::UnionQuery& q, relational::Database* db,
+    const relational::Tuple& t, crowd::CrowdPanel* crowd,
+    const InsertionConfig& config, common::Rng* rng) {
+  std::vector<std::pair<size_t, size_t>> order;  // (naive vars, index)
+  for (size_t i = 0; i < q.disjuncts().size(); ++i) {
+    auto q_t = q.disjuncts()[i].InstantiateAnswer(t);
+    if (!q_t.ok()) continue;
+    order.emplace_back(q_t->BodyVars().size(), i);
+  }
+  std::sort(order.begin(), order.end());
+
+  InsertResult out;
+  for (const auto& [vars, index] : order) {
+    const query::CQuery& disjunct = q.disjuncts()[index];
+    if (!crowd->VerifyAnswer(disjunct, t)) continue;
+    QOCO_ASSIGN_OR_RETURN(
+        InsertResult attempt,
+        AddMissingAnswer(disjunct, db, t, crowd, config, rng));
+    out.edits.insert(out.edits.end(), attempt.edits.begin(),
+                     attempt.edits.end());
+    out.naive_upper_bound_vars =
+        std::max(out.naive_upper_bound_vars, attempt.naive_upper_bound_vars);
+    if (attempt.succeeded) {
+      out.succeeded = true;
+      return out;
+    }
+  }
   return out;
 }
 

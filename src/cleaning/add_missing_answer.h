@@ -71,6 +71,16 @@ common::Result<InsertResult> AddMissingAnswer(
     const relational::Tuple& t, crowd::CrowdPanel* crowd,
     const InsertionConfig& config, common::Rng* rng);
 
+/// Algorithm 2 for a union: the missing answer `t` needs a witness under
+/// *some* disjunct. Disjuncts are tried cheapest-first (fewest variables in
+/// Q_i|t); each is first confirmed with the crowd (TRUE(Q_i, t)?), since
+/// the up-front ground-atom insertions are sound only under that premise,
+/// and Algorithm 2 then runs on it until one succeeds.
+common::Result<InsertResult> AddMissingAnswer(
+    const query::UnionQuery& q, relational::Database* db,
+    const relational::Tuple& t, crowd::CrowdPanel* crowd,
+    const InsertionConfig& config, common::Rng* rng);
+
 }  // namespace qoco::cleaning
 
 #endif  // QOCO_CLEANING_ADD_MISSING_ANSWER_H_

@@ -4,7 +4,9 @@
 #include <cstdlib>
 #include <optional>
 #include <set>
+#include <span>
 
+#include "src/cleaning/union_cleaner.h"
 #include "src/common/check.h"
 #include "src/common/invariant.h"
 #include "src/common/thread_pool.h"
@@ -14,7 +16,66 @@
 
 namespace qoco::cleaning {
 
-common::Result<CleanerStats> QocoCleaner::Run() {
+namespace {
+
+/// What the Algorithm 3 loop needs from a view language: its maintained
+/// view, the disjuncts to EXPLAIN, and how the view is read. A CQ is the
+/// one-disjunct case of a union.
+template <typename Query>
+struct ViewLanguage;
+
+template <>
+struct ViewLanguage<query::CQuery> {
+  using View = query::IncrementalView;
+
+  static std::span<const query::CQuery> Disjuncts(const query::CQuery& q) {
+    return {&q, 1};
+  }
+
+  static std::vector<relational::Tuple> Answers(const View& view) {
+    return view.result().AnswerTuples();
+  }
+
+  /// t's cached witness set, read in place: no copy, no re-deduplication.
+  static const provenance::WitnessSet& Witnesses(const View& view,
+                                                 const relational::Tuple& t) {
+    static const provenance::WitnessSet kNone;
+    const query::AnswerInfo* info = view.result().Find(t);
+    return info != nullptr ? info->witnesses : kNone;
+  }
+};
+
+template <>
+struct ViewLanguage<query::UnionQuery> {
+  using View = query::IncrementalUnionView;
+
+  static std::span<const query::CQuery> Disjuncts(const query::UnionQuery& q) {
+    return q.disjuncts();
+  }
+
+  static std::vector<relational::Tuple> Answers(const View& view) {
+    return view.AnswerTuples();
+  }
+
+  /// A wrong union answer is gone only once the witnesses of every
+  /// disjunct producing it are destroyed; one combined hitting-set instance
+  /// lets one NO answer prune across disjuncts.
+  static provenance::WitnessSet Witnesses(const View& view,
+                                          const relational::Tuple& t) {
+    return view.CombinedWitnesses(t);
+  }
+};
+
+/// Algorithm 3 over either view language (see QocoCleaner and
+/// UnionCleaner). Algorithm 2 dispatches on the query type: a union answer
+/// is inserted through one confirmed disjunct.
+template <typename Query>
+common::Result<CleanerStats> RunAlgorithm3(const Query& q,
+                                           relational::Database* db,
+                                           crowd::CrowdPanel* panel,
+                                           const CleanerConfig& config,
+                                           common::Rng* rng) {
+  using Language = ViewLanguage<Query>;
   CleanerStats stats;
   // One pool for the whole session, shared by evaluation, view
   // maintenance, and candidate scoring. Skipped entirely (pool == nullptr
@@ -22,71 +83,62 @@ common::Result<CleanerStats> QocoCleaner::Run() {
   // single-threaded runs carry zero scheduling overhead.
   std::optional<common::ThreadPool> pool_storage;
   common::ThreadPool* pool = nullptr;
-  if (common::ThreadPool::ResolveNumThreads(config_.num_threads) > 1) {
-    pool_storage.emplace(config_.num_threads);
+  if (common::ThreadPool::ResolveNumThreads(config.num_threads) > 1) {
+    pool_storage.emplace(config.num_threads);
     pool = &*pool_storage;
   }
-  InsertionConfig insertion_config = config_.insertion;
+  InsertionConfig insertion_config = config.insertion;
   insertion_config.pool = pool;
-  const query::EvalMode eval_mode = config_.optimizer
-                                        ? query::EvalMode::kCostBased
-                                        : query::EvalMode::kLegacyGreedy;
-  query::Evaluator evaluator(db_, pool);
-  evaluator.set_mode(eval_mode);
-  // EXPLAIN hook: dump the session query's plan once, before any edit,
-  // when the environment asks for it. Diagnostics only — stderr, so
+  // EXPLAIN hook: dump each disjunct's plan once, before any edit, when
+  // the environment asks for it. Diagnostics only — stderr, so
   // transcripts on stdout stay untouched.
   if (const char* flag = std::getenv("QOCO_EXPLAIN");
       flag != nullptr && flag[0] == '1') {
-    std::fputs(evaluator.ExplainPlan(q_).c_str(), stderr);
+    query::Evaluator evaluator(db, pool);
+    for (const query::CQuery& disjunct : Language::Disjuncts(q)) {
+      std::fputs(evaluator.ExplainPlan(disjunct).c_str(), stderr);
+    }
   }
-  // Incremental path: pay full-query cost once here, delta cost per edit.
-  std::optional<query::IncrementalView> view;
-  if (config_.incremental_eval) view.emplace(q_, db_, pool, eval_mode);
-  // The refreshed view after the edits applied so far.
-  auto current_answers = [&]() {
-    return view.has_value() ? view->result().AnswerTuples()
-                            : evaluator.Evaluate(q_).AnswerTuples();
-  };
+  // Pay full-query cost once here, delta cost per edit.
+  typename Language::View view(q, db, pool);
   // Replays already-applied edits into the view (delta maintenance).
   common::AuditTicker audit_ticker(kDebugAuditPeriod);
   auto sync_view = [&](const EditList& edits) {
-    if (!view.has_value()) return;
     for (const Edit& e : edits) {
       if (e.kind == Edit::Kind::kInsert) {
-        view->OnInsert(e.fact);
+        view.OnInsert(e.fact);
       } else {
-        view->OnErase(e.fact);
+        view.OnErase(e.fact);
       }
     }
     if (common::kDebugChecksEnabled && audit_ticker.Tick()) {
-      QOCO_CHECK_OK(view->AuditInvariants());
-      QOCO_CHECK_OK(db_->AuditInvariants());
+      QOCO_CHECK_OK(view.AuditInvariants());
+      QOCO_CHECK_OK(db->AuditInvariants());
     }
   };
   std::set<relational::Tuple> verified;
-  crowd::QuestionCounts baseline = panel_->counts();
+  crowd::QuestionCounts baseline = panel->counts();
 
   bool first_iteration = true;
-  while (stats.iterations < config_.max_iterations) {
+  while (stats.iterations < config.max_iterations) {
     // Re-entry condition (line 1): first iteration, or unverified answers
     // remain (insertions/deletions may have created new errors).
-    std::vector<relational::Tuple> current = current_answers();
+    std::vector<relational::Tuple> current = Language::Answers(view);
     bool has_unverified = false;
     for (const relational::Tuple& t : current) {
       if (!verified.contains(t)) has_unverified = true;
     }
     // Without the deletion part there is no verification loop, so a single
     // insertion pass is all the algorithm can do.
-    if (!first_iteration && (!has_unverified || !config_.do_deletion)) break;
+    if (!first_iteration && (!has_unverified || !config.do_deletion)) break;
     first_iteration = false;
     ++stats.iterations;
 
     // Deletion part (lines 2-6): verify every unverified answer; remove
     // the wrong ones. The view refreshes after each removal since edits
     // can change the result.
-    while (config_.do_deletion) {
-      current = current_answers();
+    while (config.do_deletion) {
+      current = Language::Answers(view);
       const relational::Tuple* next_unverified = nullptr;
       for (const relational::Tuple& t : current) {
         if (!verified.contains(t)) {
@@ -96,25 +148,16 @@ common::Result<CleanerStats> QocoCleaner::Run() {
       }
       if (next_unverified == nullptr) break;
       relational::Tuple t = *next_unverified;
-      if (panel_->VerifyAnswer(q_, t)) {
+      if (panel->VerifyAnswer(q, t)) {
         verified.insert(t);
         continue;
       }
-      RemoveResult removal;
-      if (view.has_value()) {
-        // The view already holds t's witnesses; no re-evaluation needed.
-        const query::AnswerInfo* info = view->result().Find(t);
-        QOCO_ASSIGN_OR_RETURN(
-            removal,
-            RemoveWrongAnswerFromWitnesses(
-                info != nullptr ? info->witnesses : provenance::WitnessSet{},
-                panel_, config_.deletion_policy, &rng_, config_.trust, pool));
-      } else {
-        QOCO_ASSIGN_OR_RETURN(
-            removal,
-            RemoveWrongAnswer(q_, *db_, t, panel_, config_.deletion_policy,
-                              &rng_, config_.trust, pool));
-      }
+      // The view already holds t's witnesses; no re-evaluation needed.
+      QOCO_ASSIGN_OR_RETURN(
+          RemoveResult removal,
+          RemoveWrongAnswerFromWitnesses(Language::Witnesses(view, t), panel,
+                                         config.deletion_policy, rng,
+                                         config.trust, pool));
       if (removal.edits.empty()) {
         // Contradictory crowd verdicts (the answer was judged wrong but
         // every witness tuple verified true) are possible with imperfect
@@ -122,7 +165,7 @@ common::Result<CleanerStats> QocoCleaner::Run() {
         verified.insert(t);
         continue;
       }
-      QOCO_RETURN_NOT_OK(ApplyEdits(removal.edits, db_));
+      QOCO_RETURN_NOT_OK(ApplyEdits(removal.edits, db));
       sync_view(removal.edits);
       stats.edits.insert(stats.edits.end(), removal.edits.begin(),
                          removal.edits.end());
@@ -132,12 +175,12 @@ common::Result<CleanerStats> QocoCleaner::Run() {
 
     // Insertion part (lines 7-9): enumerate missing answers with the
     // crowd until the enumeration black-box reports completeness.
-    crowd::EnumerationEstimator estimator(config_.enumeration_nulls_to_stop);
+    crowd::EnumerationEstimator estimator(config.enumeration_nulls_to_stop);
     std::set<relational::Tuple> attempted;
-    while (config_.do_insertion && !estimator.IsLikelyComplete()) {
-      current = current_answers();
+    while (config.do_insertion && !estimator.IsLikelyComplete()) {
+      current = Language::Answers(view);
       std::optional<relational::Tuple> missing =
-          panel_->MissingAnswer(q_, current);
+          panel->MissingAnswer(q, current);
       if (missing.has_value() && !attempted.insert(*missing).second) {
         // An earlier insertion attempt for this answer failed (possible
         // only with imperfect experts); treat the repeat as exhaustion so
@@ -149,8 +192,7 @@ common::Result<CleanerStats> QocoCleaner::Run() {
       if (!missing.has_value()) continue;
       QOCO_ASSIGN_OR_RETURN(
           InsertResult insertion,
-          AddMissingAnswer(q_, db_, *missing, panel_, insertion_config,
-                           &rng_));
+          AddMissingAnswer(q, db, *missing, panel, insertion_config, rng));
       // Algorithm 2 applies its edits as it goes; replay them into the view.
       sync_view(insertion.edits);
       stats.edits.insert(stats.edits.end(), insertion.edits.begin(),
@@ -163,8 +205,18 @@ common::Result<CleanerStats> QocoCleaner::Run() {
     }
   }
 
-  stats.questions = panel_->counts() - baseline;
+  stats.questions = panel->counts() - baseline;
   return stats;
+}
+
+}  // namespace
+
+common::Result<CleanerStats> QocoCleaner::Run() {
+  return RunAlgorithm3(q_, db_, panel_, config_, &rng_);
+}
+
+common::Result<CleanerStats> UnionCleaner::Run() {
+  return RunAlgorithm3(q_, db_, panel_, config_, &rng_);
 }
 
 }  // namespace qoco::cleaning

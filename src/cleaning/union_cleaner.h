@@ -2,20 +2,22 @@
 #define QOCO_CLEANING_UNION_CLEANER_H_
 
 #include "src/cleaning/cleaner.h"
-#include "src/query/incremental_view.h"
 #include "src/query/query.h"
 
 namespace qoco::cleaning {
 
 /// Query-oriented cleaning for unions of conjunctive queries (the paper's
-/// results extend to UCQs; Section 2).
+/// results extend to UCQs; Section 2). Run() is QocoCleaner's Algorithm 3
+/// loop (cleaner.cc) over a query::IncrementalUnionView; only two steps
+/// differ:
 ///
 /// * A wrong answer of the union must be removed from *every* disjunct
 ///   that produces it: the witness sets of all disjuncts are combined into
 ///   one hitting-set instance, so one crowd question can prune witnesses
 ///   across disjuncts.
 /// * A missing answer needs a witness under *some* disjunct: Algorithm 2
-///   runs per disjunct — most selective first — until one succeeds.
+///   runs per crowd-confirmed disjunct — most selective first — until one
+///   succeeds (the UnionQuery overload of AddMissingAnswer).
 ///
 /// Verification questions TRUE(Q, t)? are posed against the union.
 class UnionCleaner {
@@ -30,29 +32,11 @@ class UnionCleaner {
   common::Result<CleanerStats> Run();
 
  private:
-  /// Removes a wrong union answer by hitting the combined witness sets.
-  common::Result<RemoveResult> RemoveWrongUnionAnswer(
-      const relational::Tuple& t);
-
-  /// Adds a missing union answer by trying disjuncts in order of how close
-  /// their instantiated bodies are to being satisfied over D.
-  common::Result<InsertResult> AddMissingUnionAnswer(
-      const relational::Tuple& t);
-
-  /// Is t an answer of the union over the current database?
-  bool UnionContains(const relational::Tuple& t) const;
-
   const query::UnionQuery& q_;
   relational::Database* db_;
   crowd::CrowdPanel* panel_;
   CleanerConfig config_;
   common::Rng rng_;
-  /// Set for the duration of Run() on the incremental path so the removal
-  /// helper reads cached witnesses instead of re-evaluating disjuncts.
-  const query::IncrementalUnionView* union_view_ = nullptr;
-  /// Session pool (see CleanerConfig::num_threads); set for the duration
-  /// of Run(), nullptr otherwise. Not owned by the helpers.
-  common::ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace qoco::cleaning

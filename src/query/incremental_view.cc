@@ -50,9 +50,8 @@ bool AssignmentUsesFact(const CQuery& q, const Assignment& a,
 }  // namespace
 
 IncrementalView::IncrementalView(CQuery q, const relational::Database* db,
-                                 common::ThreadPool* pool, EvalMode mode)
+                                 common::ThreadPool* pool)
     : q_(std::move(q)), db_(db), evaluator_(db, pool) {
-  evaluator_.set_mode(mode);
   Refresh();
   stats_ = Stats{};
   stats_.full_evals = 1;
@@ -241,11 +240,10 @@ common::Status IncrementalView::AuditInvariants() const {
 
 IncrementalUnionView::IncrementalUnionView(const UnionQuery& q,
                                            const relational::Database* db,
-                                           common::ThreadPool* pool,
-                                           EvalMode mode) {
+                                           common::ThreadPool* pool) {
   views_.reserve(q.disjuncts().size());
   for (const CQuery& disjunct : q.disjuncts()) {
-    views_.emplace_back(disjunct, db, pool, mode);
+    views_.emplace_back(disjunct, db, pool);
   }
 }
 

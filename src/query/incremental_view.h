@@ -43,20 +43,12 @@ class IncrementalView {
   /// An optional thread pool parallelizes the full evaluations and the
   /// per-delta extension searches (see Evaluator); results are identical to
   /// serial maintenance for any pool, so the pool may even change between
-  /// notifications. `mode` selects the join-order engine for the initial
-  /// materialization and all maintenance (every mode computes the same
-  /// EvalResult).
+  /// notifications.
   IncrementalView(CQuery q, const relational::Database* db,
-                  common::ThreadPool* pool = nullptr,
-                  EvalMode mode = EvalMode::kCostBased);
+                  common::ThreadPool* pool = nullptr);
 
   /// Swaps the pool used for subsequent maintenance (nullptr = serial).
   void set_pool(common::ThreadPool* pool) { evaluator_.set_pool(pool); }
-
-  /// Selects the join-order engine for the underlying evaluator (see
-  /// EvalMode). Safe to flip between notifications: every mode computes
-  /// the same EvalResult.
-  void set_mode(EvalMode mode) { evaluator_.set_mode(mode); }
 
   const CQuery& query() const { return q_; }
 
@@ -112,17 +104,11 @@ class IncrementalView {
 class IncrementalUnionView {
  public:
   IncrementalUnionView(const UnionQuery& q, const relational::Database* db,
-                       common::ThreadPool* pool = nullptr,
-                       EvalMode mode = EvalMode::kCostBased);
+                       common::ThreadPool* pool = nullptr);
 
   /// Swaps the pool on every disjunct view (nullptr = serial).
   void set_pool(common::ThreadPool* pool) {
     for (IncrementalView& v : views_) v.set_pool(pool);
-  }
-
-  /// Selects the join-order engine on every disjunct view.
-  void set_mode(EvalMode mode) {
-    for (IncrementalView& v : views_) v.set_mode(mode);
   }
 
   /// Distinct answers of the union, sorted.

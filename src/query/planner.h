@@ -24,8 +24,9 @@ enum class EvalMode {
   /// DESIGN.md §Query planning for why the suffix stays adaptive).
   kCostBased,
   /// The pre-planner engine, byte-for-byte: per-node adaptive greedy
-  /// (most bound positions, then fewest candidates). Kept for A/B
-  /// comparison; CleanerConfig::optimizer=false selects it.
+  /// (most bound positions, then fewest candidates). Bounded searches
+  /// always run it; Evaluator::set_mode selects it for unlimited ones
+  /// (the planner tests and bench/perf_optimizer.cc compare against it).
   kLegacyGreedy,
   /// Atoms expand in the order the query was written, no reduction — the
   /// naive reference the equivalence fuzz and the adversarial-order

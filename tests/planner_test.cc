@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/cleaning/cleaner.h"
+#include "src/cleaning/union_cleaner.h"
 #include "src/crowd/crowd_panel.h"
 #include "src/crowd/simulated_oracle.h"
 #include "src/query/column_stats.h"
@@ -402,23 +403,66 @@ TEST_F(PlannerTest, ExplainPlanRendersInfeasible) {
   EXPECT_NE(text.find("infeasible"), std::string::npos) << text;
 }
 
+/// Runs `run` with QOCO_EXPLAIN=1 and returns what it wrote to stderr.
+template <typename Run>
+std::string CaptureExplain(Run run) {
+  EXPECT_EQ(setenv("QOCO_EXPLAIN", "1", /*overwrite=*/1), 0);
+  testing::internal::CaptureStderr();
+  run();
+  std::string captured = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(unsetenv("QOCO_EXPLAIN"), 0);
+  return captured;
+}
+
+size_t CountOccurrences(const std::string& text, const std::string& needle) {
+  size_t count = 0;
+  for (size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
 TEST(PlannerExplainEnvTest, CleanerDumpsPlanWhenAsked) {
   auto sample = workload::MakeFigureOneSample();
   ASSERT_TRUE(sample.ok());
   crowd::SimulatedOracle oracle(sample->ground_truth.get());
   crowd::CrowdPanel panel({&oracle}, crowd::PanelConfig{1});
+
+  // A CQ view: one plan dump.
   Database db = *sample->dirty;
-  ASSERT_EQ(setenv("QOCO_EXPLAIN", "1", /*overwrite=*/1), 0);
-  testing::internal::CaptureStderr();
-  cleaning::QocoCleaner cleaner(sample->q1, &db, &panel,
-                                cleaning::CleanerConfig{}, common::Rng(17));
-  auto stats = cleaner.Run();
-  std::string captured = testing::internal::GetCapturedStderr();
-  ASSERT_EQ(unsetenv("QOCO_EXPLAIN"), 0);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_NE(captured.find("EXPLAIN (cost-based)"), std::string::npos)
+  bool ran = false;
+  std::string captured = CaptureExplain([&] {
+    cleaning::QocoCleaner cleaner(sample->q1, &db, &panel,
+                                  cleaning::CleanerConfig{}, common::Rng(17));
+    ran = cleaner.Run().ok();
+  });
+  ASSERT_TRUE(ran);
+  EXPECT_EQ(CountOccurrences(captured, "EXPLAIN (cost-based)"), 1u)
       << captured;
   EXPECT_NE(captured.find("plan:"), std::string::npos) << captured;
+
+  // A union view: one plan dump per disjunct, from the same hook.
+  auto u = ParseUnionQuery(
+      "(x) :- Games(d1, x, y, 'Final', u1), Games(d2, x, z, 'Final', u2), "
+      "Teams(x, 'EU'), d1 != d2;"
+      "(x) :- Games(d1, x, y, 'Final', u1), Games(d2, x, z, 'Final', u2), "
+      "Teams(x, 'SA'), d1 != d2.",
+      *sample->catalog);
+  ASSERT_TRUE(u.ok());
+  ASSERT_EQ(u->disjuncts().size(), 2u);
+  Database union_db = *sample->dirty;
+  captured = CaptureExplain([&] {
+    cleaning::UnionCleaner cleaner(*u, &union_db, &panel,
+                                   cleaning::CleanerConfig{}, common::Rng(5));
+    ran = cleaner.Run().ok();
+  });
+  ASSERT_TRUE(ran);
+  EXPECT_EQ(CountOccurrences(captured, "EXPLAIN (cost-based)"),
+            u->disjuncts().size())
+      << captured;
+  EXPECT_NE(captured.find("Teams(x, 'EU')"), std::string::npos) << captured;
+  EXPECT_NE(captured.find("Teams(x, 'SA')"), std::string::npos) << captured;
 }
 
 // ---------------------------------------------------------------------------

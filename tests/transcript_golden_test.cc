@@ -17,8 +17,10 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/cleaning/aggregate_cleaner.h"
 #include "src/cleaning/cleaner.h"
 #include "src/cleaning/edit.h"
 #include "src/cleaning/union_cleaner.h"
@@ -28,6 +30,7 @@
 #include "src/crowd/imperfect_oracle.h"
 #include "src/crowd/oracle.h"
 #include "src/crowd/simulated_oracle.h"
+#include "src/query/aggregate.h"
 #include "src/query/evaluator.h"
 #include "src/query/parser.h"
 #include "src/workload/dbgroup.h"
@@ -300,6 +303,55 @@ TEST(TranscriptGolden, UnionSessions) {
     }
     RenderSortedFacts(db, &out);
     CheckGolden("union-fig1-t" + std::to_string(threads), out);
+  }
+}
+
+TEST(TranscriptGolden, AggregateSessions) {
+  // The COUNT views of tests/aggregate_test.cc over the Figure 1 sample:
+  // European teams with at least two final wins, and with at most one.
+  auto sample = workload::MakeFigureOneSample();
+  ASSERT_TRUE(sample.ok());
+  const std::pair<const char*, query::AggregateQuery::Cmp> kViews[] = {
+      {"atleast2", query::AggregateQuery::Cmp::kAtLeast},
+      {"atmost1", query::AggregateQuery::Cmp::kAtMost},
+  };
+  for (const auto& [name, cmp] : kViews) {
+    auto base = query::ParseQuery(
+        "(x, d) :- Games(d, x, y, 'Final', u), Teams(x, 'EU').",
+        *sample->catalog);
+    ASSERT_TRUE(base.ok());
+    auto agg = query::AggregateQuery::Make(
+        std::move(base).value(), /*group_by_arity=*/1, cmp,
+        /*threshold=*/cmp == query::AggregateQuery::Cmp::kAtLeast ? 2 : 1);
+    ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+    for (size_t threads : kGoldenThreadCounts) {
+      std::string out;
+      Database db = *sample->dirty;
+      crowd::SimulatedOracle oracle(sample->ground_truth.get());
+      RecordingOracle recorder(&oracle, &db, &out);
+      crowd::CrowdPanel panel({&recorder}, crowd::PanelConfig{1});
+      CleanerConfig config;
+      config.num_threads = threads;
+      cleaning::AggregateCleaner cleaner(*agg, &db, &panel, config,
+                                         common::Rng(5));
+      auto stats = cleaner.Run();
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      for (const cleaning::Edit& e : stats->edits) {
+        out += "edit " + cleaning::EditToString(e, db) + "\n";
+      }
+      out += "questions " + crowd::ToString(stats->questions) + "\n";
+      out += "wrong_removed " + std::to_string(stats->wrong_answers_removed) +
+             " missing_added " + std::to_string(stats->missing_answers_added) +
+             " iterations " + std::to_string(stats->iterations) + "\n";
+      query::AggregateEvaluator eval(&db);
+      for (const Tuple& t : eval.AnswerTuples(*agg)) {
+        out += "answer " + TupleToString(t) + "\n";
+      }
+      RenderSortedFacts(db, &out);
+      CheckGolden("aggregate-fig1-" + std::string(name) + "-t" +
+                      std::to_string(threads),
+                  out);
+    }
   }
 }
 
