@@ -111,8 +111,7 @@ std::string PlanOrderLabel(const query::CQuery& q,
   query::ColumnStats stats(&db);
   query::Planner planner(&db, &stats);
   query::Plan plan = planner.MakePlan(
-      q, query::Assignment(q.num_vars(), &db.dict()),
-      mode == EvalMode::kLegacyGreedy ? EvalMode::kCostBased : mode,
+      q, query::Assignment(q.num_vars(), &db.dict()), mode,
       /*force_predict=*/true);
   std::string label;
   for (const query::PlanStep& s : plan.steps) {

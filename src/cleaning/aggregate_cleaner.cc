@@ -91,9 +91,10 @@ common::Result<bool> AggregateCleaner::GrowGroup(
                         q_.BaseForGroup(group));
   bool changed = false;
   size_t guard = 0;
-  while (UnitsOf(group).size() < target_count &&
-         guard++ < 4 * target_count + 8) {
-    std::vector<relational::Tuple> units = UnitsOf(group);
+  // One UnitsOf (a full group evaluation over D) per iteration.
+  for (std::vector<relational::Tuple> units = UnitsOf(group);
+       units.size() < target_count && guard++ < 4 * target_count + 8;
+       units = UnitsOf(group)) {
     std::optional<relational::Tuple> missing_unit =
         panel_->MissingAnswer(base_for_group, units);
     if (!missing_unit.has_value()) break;  // The crowd knows no more units.

@@ -29,30 +29,27 @@ struct CompiledTerm {
   bool is_var() const { return var >= 0; }
 };
 
-/// Backtracking join state over interned rows. With a non-null `plan`
-/// (built by the Planner on the coordinator thread), the root expansion
-/// follows the plan's candidate list, unification prunes through the
-/// plan's allowed-id sets, and — for strict-order plans — the expansion
-/// order is the plan's; otherwise every level picks the most constrained
-/// pending atom adaptively, exactly like the pre-planner engine.
+/// Backtracking join state over interned rows, executing a Planner-built
+/// plan: the root expansion follows the plan's candidate list, unification
+/// prunes through the plan's allowed-id sets, and below the root the
+/// expansion order is the plan's for strict-order plans and otherwise picks
+/// the most constrained pending atom adaptively at every level.
 class Search {
  public:
+  /// `plan` must have been built for this query, database state and
+  /// binding, and be neither infeasible nor trivial.
   Search(const CQuery& q, const Database& db, Assignment binding,
-         size_t limit, std::vector<Assignment>* out,
-         const Plan* plan = nullptr)
+         size_t limit, std::vector<Assignment>* out, const Plan& plan)
       : q_(q),
-        db_(db),
         binding_(std::move(binding)),
         limit_(limit),
         out_(out),
         plan_(plan),
         atom_done_(q.atoms().size(), false) {
-    if (plan != nullptr) {
-      for (const auto& ids : plan->allowed) {
-        if (!ids.empty()) {
-          check_allowed_ = true;
-          break;
-        }
+    for (const auto& ids : plan.allowed) {
+      if (!ids.empty()) {
+        check_allowed_ = true;
+        break;
       }
     }
     const relational::ValueDictionary& dict = db.dict();
@@ -71,86 +68,22 @@ class Search {
     }
   }
 
-  void Run() {
-    if (!InequalitiesHold()) return;
-    Recurse(q_.atoms().size());
-  }
-
-  /// What the first expansion level of Run() would do: the atom picked for
-  /// the root of the join tree and the candidate rows it would iterate, in
-  /// the exact order the serial search visits them. Lets a parallel driver
-  /// partition the root scan into contiguous ranges whose outputs, appended
-  /// in range order, reproduce Run()'s output byte for byte.
-  struct RootPlan {
-    bool infeasible = false;   // An inequality already fails: no results.
-    bool trivial = false;      // No atoms: the binding itself is the result.
-    size_t atom = 0;           // Root atom index into q.atoms().
-    bool use_posting = false;  // Iterate `posting` vs. the full row scan.
-    std::vector<uint32_t> posting;
-    size_t num_rows = 0;
-
-    size_t Candidates() const {
-      return use_posting ? posting.size() : num_rows;
-    }
-  };
-
-  RootPlan PlanRoot() {
-    RootPlan plan;
-    if (!InequalitiesHold()) {
-      plan.infeasible = true;
-      return plan;
-    }
-    if (q_.atoms().size() == 0) {
-      plan.trivial = true;
-      return plan;
-    }
-    AtomScore score;
-    plan.atom = PickBestAtom(&score);
-    if (score.posting != nullptr) {
-      plan.use_posting = true;
-      plan.posting = *score.posting;
-    } else {
-      plan.num_rows = atom_rel_[plan.atom]->rows().size();
-    }
-    return plan;
-  }
-
-  /// Expands the Planner-built plan's root atom over candidate rows
-  /// [begin, end) of its (possibly semi-join-filtered) candidate list,
-  /// recursing below the root per the plan's order contract. Precondition:
-  /// plan_ != nullptr, the plan was built against this database state and
-  /// binding, and it is neither infeasible nor trivial. A parallel driver
-  /// partitions [0, plan.RootCandidateCount()) into contiguous ranges
-  /// whose outputs, appended in range order, reproduce the serial scan
-  /// byte for byte.
-  void RunPlannedRange(size_t begin, size_t end) {
-    const Plan& plan = *plan_;
-    const size_t root = plan.steps[0].atom;
+  /// Expands the plan's root atom over candidate rows [begin, end) of its
+  /// candidate list, recursing below the root per the plan's order
+  /// contract. A parallel driver partitions [0, plan.RootCandidateCount())
+  /// into contiguous ranges whose outputs, appended in range order,
+  /// reproduce the serial scan byte for byte.
+  void RunRange(size_t begin, size_t end) {
+    const size_t root = plan_.steps[0].atom;
     const Relation& rel = *atom_rel_[root];
     atom_done_[root] = true;
-    const size_t remaining = q_.atoms().size();
-    for (size_t i = begin; i < end && !Done(); ++i) {
-      TryRow(root, rel.rows()[plan.RootCandidateAt(i)], remaining);
-    }
-    atom_done_[root] = false;
-  }
-
-  /// Expands the plan's root atom over candidate rows [begin, end) only,
-  /// recursing below the root exactly as Run() does. Precondition: the plan
-  /// came from PlanRoot() on an identically-constructed Search (same query,
-  /// database state, and binding) and is neither infeasible nor trivial.
-  void RunRootRange(const RootPlan& plan, size_t begin, size_t end) {
-    const Relation& rel = *atom_rel_[plan.atom];
-    atom_done_[plan.atom] = true;
     // TryRow's `remaining` counts the atom being expanded (it recurses with
     // remaining - 1), exactly as Recurse passes it.
     const size_t remaining = q_.atoms().size();
     for (size_t i = begin; i < end && !Done(); ++i) {
-      const ITuple& row = plan.use_posting ? rel.rows()[plan.posting[i]]
-                                           : rel.rows()[i];
-      TryRow(plan.atom, row, remaining);
+      TryRow(root, rel.rows()[plan_.RootCandidateAt(i)], remaining);
     }
-    atom_done_[plan.atom] = false;
+    atom_done_[root] = false;
   }
 
  private:
@@ -192,9 +125,9 @@ class Search {
 
   /// Number of argument positions of atom `idx` that resolve now, plus an
   /// estimated candidate count for expanding it. `posting` memoizes the
-  /// posting list of the most selective bound column so neither Recurse nor
-  /// PlanRoot re-probes the index the scoring pass already walked (the list
-  /// stays valid: indexes only move under mutation, never mid-evaluation).
+  /// posting list of the most selective bound column so Recurse does not
+  /// re-probe the index the scoring pass already walked (the list stays
+  /// valid: indexes only move under mutation, never mid-evaluation).
   struct AtomScore {
     size_t bound_positions = 0;
     size_t candidates = std::numeric_limits<size_t>::max();
@@ -220,9 +153,8 @@ class Search {
   }
 
   /// The most constrained pending atom: most bound positions, then fewest
-  /// candidates. Shared by Recurse and PlanRoot so the parallel root split
-  /// expands the very atom the serial search would. Precondition: at least
-  /// one atom is pending.
+  /// candidates, then the earliest index (Planner's kLegacyGreedy root rule
+  /// is this rule at the root). Precondition: at least one atom is pending.
   size_t PickBestAtom(AtomScore* best_score) const {
     size_t best = static_cast<size_t>(-1);
     for (size_t i = 0; i < atom_done_.size(); ++i) {
@@ -263,10 +195,10 @@ class Search {
     }
     AtomScore best_score;
     size_t best;
-    if (plan_ != nullptr && plan_->strict_order) {
+    if (plan_.strict_order) {
       // Strict plans (parse-order mode) pin the expansion order; the probe
       // column within the atom is still the most selective bound one.
-      best = plan_->steps[q_.atoms().size() - remaining].atom;
+      best = plan_.steps[q_.atoms().size() - remaining].atom;
       best_score = ScoreAtom(best);
     } else {
       best = PickBestAtom(&best_score);
@@ -319,9 +251,9 @@ class Search {
         // surviving assignments is untouched.
         if (check_allowed_) {
           const auto v = static_cast<size_t>(term.var);
-          if (v < plan_->allowed.size() && !plan_->allowed[v].empty() &&
-              !std::binary_search(plan_->allowed[v].begin(),
-                                  plan_->allowed[v].end(), row[col])) {
+          if (v < plan_.allowed.size() && !plan_.allowed[v].empty() &&
+              !std::binary_search(plan_.allowed[v].begin(),
+                                  plan_.allowed[v].end(), row[col])) {
             return false;
           }
         }
@@ -331,11 +263,10 @@ class Search {
   }
 
   const CQuery& q_;
-  const Database& db_;
   Assignment binding_;
   size_t limit_;
   std::vector<Assignment>* out_;
-  const Plan* plan_;  // Nullable; owned by the coordinator, read-only here.
+  const Plan& plan_;  // Owned by the caller of FindExtensions; read-only.
   // True iff plan_ carries at least one non-empty allowed set; hoists the
   // semi-join membership test out of the common no-reduction case.
   bool check_allowed_ = false;
@@ -466,113 +397,68 @@ std::vector<Assignment> Evaluator::FindExtensions(const CQuery& q,
     binding = std::move(widened);
   }
 
-  // Planned evaluation: unlimited searches on the coordinator thread run
-  // under an explicit Plan (cost-based root + semi-join reduction, or the
-  // strict parse-order plan). Limited searches always take the legacy
-  // engine below — *which* extension a bounded search finds first leaks
-  // into crowd questions, so their enumeration order is part of the
-  // transcript contract — and nested calls from pool workers stay off this
-  // path because planning mutates the shared stats cache.
-  if (mode_ != EvalMode::kLegacyGreedy && limit == 0 &&
-      (pool_ == nullptr || !pool_->OnWorkerThread())) {
-    Planner planner(db_, &stats_);
-    const Plan plan = planner.MakePlan(q, binding, mode_);
-    if (plan.infeasible) return out;
-    if (plan.trivial) {
-      out.push_back(std::move(binding));
-      return out;
+  // Unlimited searches on the coordinator run under mode_'s plan. Bounded
+  // searches (IsSatisfiable, Algorithm 2's capped subquery searches) run
+  // under the greedy root rule: *which* extension they find first leaks into
+  // crowd questions, so their enumeration order is part of the transcript
+  // contract. Searches already on a pool worker run greedy too: greedy plans
+  // never touch the shared stats cache, so a worker may build one.
+  const bool greedy =
+      limit != 0 || (pool_ != nullptr && pool_->OnWorkerThread());
+  Planner planner(db_, &stats_);
+  const Plan plan =
+      planner.MakePlan(q, binding, greedy ? EvalMode::kLegacyGreedy : mode_);
+  if (plan.infeasible) return out;
+  if (plan.trivial) {
+    out.push_back(std::move(binding));
+    return out;
+  }
+  const size_t n = plan.RootCandidateCount();
+
+  // Parallel root-scan split. Only for unlimited coordinator searches: a
+  // bounded search stops at the first few hits, where fan-out both wastes
+  // work and — worse — would make *which* extensions are found
+  // scheduling-dependent; a nested call (already on a worker) runs serially
+  // inline, the outer split being the parallelism.
+  if (!greedy && pool_ != nullptr && pool_->num_threads() > 1 &&
+      n >= kMinRootCandidatesForParallel) {
+    // Workers probe const lazily-built indexes concurrently; build every
+    // index from this thread first so no worker races a cold build. (Search
+    // compilation only calls the dictionary's const, non-interning Find, so
+    // shards compiling concurrently stay within the dictionary's threading
+    // contract.) The coordinator's plan is shared by const ref.
+    db_->WarmIndexes();
+    const size_t chunks =
+        std::min(n, pool_->num_threads() * kRootChunksPerThread);
+    std::vector<std::vector<Assignment>> parts(chunks);
+    pool_->ParallelFor(chunks, [&](size_t c) {
+      const size_t begin = n * c / chunks;
+      const size_t end = n * (c + 1) / chunks;
+      std::vector<Assignment> part;
+      Search shard(q, *db_, binding, /*limit=*/0, &part, plan);
+      shard.RunRange(begin, end);
+      parts[c] = std::move(part);
+    });
+    // Appending the contiguous ascending ranges in chunk order is exactly
+    // the serial candidate-list scan: bit-identical output by construction.
+    size_t total = 0;
+    for (const std::vector<Assignment>& p : parts) total += p.size();
+    out.reserve(total);
+    for (std::vector<Assignment>& p : parts) {
+      for (Assignment& a : p) out.push_back(std::move(a));
     }
-    const size_t n = plan.RootCandidateCount();
-    if (pool_ != nullptr && pool_->num_threads() > 1 &&
-        n >= kMinRootCandidatesForParallel) {
-      // Same warm-up and chunking contract as the legacy split below; the
-      // coordinator's Plan is shared by const ref (workers never plan).
-      db_->WarmIndexes();
-      const size_t chunks =
-          std::min(n, pool_->num_threads() * kRootChunksPerThread);
-      std::vector<std::vector<Assignment>> parts(chunks);
-      pool_->ParallelFor(chunks, [&](size_t c) {
-        const size_t begin = n * c / chunks;
-        const size_t end = n * (c + 1) / chunks;
-        std::vector<Assignment> part;
-        Search shard(q, *db_, binding, /*limit=*/0, &part, &plan);
-        shard.RunPlannedRange(begin, end);
-        parts[c] = std::move(part);
-      });
-      // Contiguous ascending ranges appended in chunk order reproduce the
-      // serial candidate-list scan: bit-identical output by construction.
-      size_t total = 0;
-      for (const std::vector<Assignment>& p : parts) total += p.size();
-      out.reserve(total);
-      for (std::vector<Assignment>& p : parts) {
-        for (Assignment& a : p) out.push_back(std::move(a));
-      }
-      return out;
-    }
-    Search search(q, *db_, std::move(binding), /*limit=*/0, &out, &plan);
-    search.RunPlannedRange(0, n);
     return out;
   }
 
-  // Parallel root-scan split. Only for unlimited searches: a limited search
-  // (IsSatisfiable and friends) stops at the first few hits, where fan-out
-  // both wastes work and — worse — would make *which* extensions are found
-  // scheduling-dependent. Nested calls (already on a worker of the pool)
-  // run serially inline: the outer split is the parallelism.
-  if (pool_ != nullptr && limit == 0 && pool_->num_threads() > 1 &&
-      !pool_->OnWorkerThread()) {
-    Search planner(q, *db_, binding, /*limit=*/0, &out);
-    Search::RootPlan plan = planner.PlanRoot();
-    if (plan.infeasible) return out;
-    if (plan.trivial) {
-      out.push_back(std::move(binding));
-      return out;
-    }
-    const size_t n = plan.Candidates();
-    if (n >= kMinRootCandidatesForParallel) {
-      // Workers probe const lazily-built indexes concurrently; build every
-      // index from this thread first so no worker races a cold build.
-      // (Search compilation only calls the dictionary's const, non-interning
-      // Find, so shards compiling concurrently stay within the dictionary's
-      // threading contract.)
-      db_->WarmIndexes();
-      const size_t chunks =
-          std::min(n, pool_->num_threads() * kRootChunksPerThread);
-      std::vector<std::vector<Assignment>> parts(chunks);
-      pool_->ParallelFor(chunks, [&](size_t c) {
-        const size_t begin = n * c / chunks;
-        const size_t end = n * (c + 1) / chunks;
-        std::vector<Assignment> part;
-        Search shard(q, *db_, binding, /*limit=*/0, &part);
-        shard.RunRootRange(plan, begin, end);
-        parts[c] = std::move(part);
-      });
-      // Appending the contiguous ascending ranges in chunk order is exactly
-      // the serial iteration order: bit-identical output by construction.
-      size_t total = 0;
-      for (const std::vector<Assignment>& p : parts) total += p.size();
-      out.reserve(total);
-      for (std::vector<Assignment>& p : parts) {
-        for (Assignment& a : p) out.push_back(std::move(a));
-      }
-      return out;
-    }
-  }
-
-  Search search(q, *db_, std::move(binding), limit, &out);
-  search.Run();
+  Search search(q, *db_, std::move(binding), limit, &out, plan);
+  search.RunRange(0, n);
   return out;
 }
 
 std::string Evaluator::ExplainPlan(const CQuery& q) const {
-  // kLegacyGreedy never consults a plan at run time; EXPLAIN still shows
-  // what the cost-based planner would do so the dump stays informative
-  // (the header names the actual engine).
-  const EvalMode planned =
-      mode_ == EvalMode::kLegacyGreedy ? EvalMode::kCostBased : mode_;
   Planner planner(db_, &stats_);
   Plan plan = planner.MakePlan(q, Assignment(q.num_vars(), &db_->dict()),
-                               planned, /*force_predict=*/true);
+                               mode_, /*force_predict=*/true);
   std::string out = "EXPLAIN (";
   out += EvalModeName(mode_);
   out += ") ";

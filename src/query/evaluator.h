@@ -68,15 +68,16 @@ class EvalResult {
 };
 
 /// Evaluates conjunctive queries with inequalities over a Database using an
-/// index-backed backtracking join. Unlimited searches run under an explicit
-/// cost-based Plan by default (see Planner): the planner picks the root
-/// atom by exact candidate counts, pre-filters the root scan with a
-/// semi-join reduction, and prunes unification through per-variable
-/// allowed-id sets; expansion below the root adapts over exact index
-/// counts (most bound positions, then fewest candidates). Limited searches
-/// and EvalMode::kLegacyGreedy run the pre-planner adaptive engine
-/// unchanged. Inequalities are checked as soon as both sides are
-/// resolvable.
+/// index-backed backtracking join. Every search runs one executor under an
+/// explicit Plan (see Planner). Unlimited searches on the coordinator plan
+/// under mode() — by default cost-based: the root atom by exact candidate
+/// counts, the root scan pre-filtered by a semi-join reduction, and
+/// unification pruned through per-variable allowed-id sets. Bounded
+/// searches (limit != 0) and searches on a pool worker plan under the
+/// greedy root rule (EvalMode::kLegacyGreedy), whose enumeration order is
+/// part of the transcript contract. Below the root, expansion adapts over
+/// exact index counts (most bound positions, then fewest candidates).
+/// Inequalities are checked as soon as both sides are resolvable.
 class Evaluator {
  public:
   /// The database must outlive the evaluator. The evaluator always reads
@@ -95,8 +96,9 @@ class Evaluator {
   void set_pool(common::ThreadPool* pool) { pool_ = pool; }
   common::ThreadPool* pool() const { return pool_; }
 
-  /// Selects the join-order engine for unlimited searches (see EvalMode;
-  /// limited searches always use the legacy engine). Default: kCostBased.
+  /// Selects the root rule for unlimited coordinator searches (see
+  /// EvalMode; bounded and worker-side searches always plan greedy).
+  /// Default: kCostBased.
   void set_mode(EvalMode mode) { mode_ = mode; }
   EvalMode mode() const { return mode_; }
 
@@ -105,9 +107,9 @@ class Evaluator {
   const ColumnStats& stats() const { return stats_; }
 
   /// EXPLAIN: the plan an unlimited evaluation of Q (from the empty
-  /// binding) would run, rendered via Plan::DebugString. Always includes
-  /// the predicted suffix and estimates; with mode() == kLegacyGreedy the
-  /// dump is advisory (the legacy engine orders adaptively at run time).
+  /// binding) would run under mode(), rendered via Plan::DebugString. Always
+  /// includes the predicted suffix and estimates; the suffix is advisory
+  /// unless the plan is strict (the executor re-ranks it at run time).
   std::string ExplainPlan(const CQuery& q) const;
 
   /// The database this evaluator reads (callers constructing partial

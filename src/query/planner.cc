@@ -4,7 +4,6 @@
 #include <optional>
 #include <sstream>
 
-#include "src/common/check.h"
 #include "src/relational/id_posting_map.h"
 #include "src/relational/value_id.h"
 
@@ -36,7 +35,7 @@ constexpr size_t kMinRootCandidatesForSemiJoin = 32;
 constexpr size_t kMinSemiJoinShrink = 2;
 
 /// Exact scoring of one atom under the initial binding: the same numbers
-/// the legacy engine's ScoreAtom computes at the root, plus the
+/// the executor's ScoreAtom computes for it at the root, plus the
 /// fully-resolved refinement (set semantics: at most one stored row can
 /// equal a ground atom, so its true output is <= 1 whatever its posting
 /// lists say).
@@ -50,6 +49,26 @@ struct RootScore {
   const std::vector<uint32_t>* posting = nullptr;  // Borrowed from the index.
   bool dead = false;  // Some resolved column has an empty posting list.
 };
+
+/// Whether `a` roots ahead of the earlier atom `b` under `mode`; a false
+/// answer on a full tie keeps the earlier atom, so every rule is total and
+/// deterministic. Cost-based: smallest exact estimate, then most resolved
+/// positions. Legacy greedy: most resolved positions, then fewest
+/// candidates (the executor's PickBestAtom rule, applied at the root).
+/// Parse order: the written first atom always roots.
+bool RootBeats(EvalMode mode, const RootScore& a, const RootScore& b) {
+  switch (mode) {
+    case EvalMode::kCostBased:
+      if (a.est != b.est) return a.est < b.est;
+      return a.bound > b.bound;
+    case EvalMode::kLegacyGreedy:
+      if (a.bound != b.bound) return a.bound > b.bound;
+      return a.candidates < b.candidates;
+    case EvalMode::kParseOrder:
+      return false;
+  }
+  return false;
+}
 
 }  // namespace
 
@@ -67,8 +86,6 @@ const char* EvalModeName(EvalMode mode) {
 
 Plan Planner::MakePlan(const CQuery& q, const Assignment& binding,
                        EvalMode mode, bool force_predict) const {
-  QOCO_DCHECK(mode != EvalMode::kLegacyGreedy)
-      << "the legacy engine never consults a plan";
   Plan plan;
   plan.strict_order = mode == EvalMode::kParseOrder;
   const relational::ValueDictionary& dict = db_->dict();
@@ -86,10 +103,13 @@ Plan Planner::MakePlan(const CQuery& q, const Assignment& binding,
   };
 
   // A fully-resolved inequality that fails makes every extension invalid.
+  // The right side is resolved only when the left one is (a constant's
+  // dictionary lookup is the costly part of a small bounded search's plan).
   for (const Inequality& ineq : q.inequalities()) {
     ValueId a = resolve(ineq.lhs);
+    if (a == kInvalidId) continue;
     ValueId b = resolve(ineq.rhs);
-    if (a != kInvalidId && b != kInvalidId && a == b) {
+    if (b != kInvalidId && a == b) {
       plan.infeasible = true;
       return plan;
     }
@@ -99,14 +119,15 @@ Plan Planner::MakePlan(const CQuery& q, const Assignment& binding,
     return plan;
   }
 
-  // Exact root scoring. Probe-column selection replicates the legacy rule
-  // (first strictly-smaller posting wins, scanning columns left to right)
-  // so the candidate iteration order of the chosen root is the one the
-  // adaptive engine would produce.
-  std::vector<RootScore> scores(atoms.size());
+  // Exact root scoring. Probe-column selection is the executor's ScoreAtom
+  // rule (first strictly-smaller posting wins, scanning columns left to
+  // right), so a root scans the very posting list the adaptive executor
+  // would probe for it.
+  size_t root = atoms.size();
+  RootScore rs;
   for (size_t i = 0; i < atoms.size(); ++i) {
     const Relation& rel = db_->relation(atoms[i].relation);
-    RootScore& s = scores[i];
+    RootScore s;
     s.candidates = rel.size();
     for (size_t col = 0; col < atoms[i].terms.size(); ++col) {
       ValueId id = resolve(atoms[i].terms[col]);
@@ -132,27 +153,11 @@ Plan Planner::MakePlan(const CQuery& q, const Assignment& binding,
       plan.infeasible = true;
       return plan;
     }
-  }
-
-  // Root: smallest exact estimate, then most resolved positions, then the
-  // earliest atom — a total, documented order, so plans are deterministic.
-  size_t root = 0;
-  if (mode == EvalMode::kCostBased) {
-    for (size_t i = 1; i < atoms.size(); ++i) {
-      const RootScore& a = scores[i];
-      const RootScore& b = scores[root];
-      bool better;
-      if (a.est != b.est) {
-        better = a.est < b.est;
-      } else if (a.bound != b.bound) {
-        better = a.bound > b.bound;
-      } else {
-        better = false;  // Earlier index wins ties.
-      }
-      if (better) root = i;
+    if (root == atoms.size() || RootBeats(mode, s, rs)) {
+      root = i;
+      rs = s;
     }
   }
-  const RootScore& rs = scores[root];
   const Relation& root_rel = db_->relation(atoms[root].relation);
   plan.root_use_posting = rs.use_posting;
   plan.root_probe_column = rs.probe_column;
@@ -250,11 +255,16 @@ Plan Planner::MakePlan(const CQuery& q, const Assignment& binding,
   // index). Exact posting probes for ids known now; the column's average
   // posting length (ColumnStats) for variables the prefix will have bound
   // by then. The executor's adaptive suffix re-ranks with exact counts at
-  // run time; this prediction is what EXPLAIN shows and what strict-order
-  // execution (parse-order mode) follows.
+  // run time, so an adaptive plan only predicts for EXPLAIN or for a scan
+  // long enough to show it; strict-order execution (parse-order mode)
+  // follows the written order.
+  plan.steps.push_back({root, rs.est, rs.bound, /*connected=*/false});
+  const bool predict =
+      force_predict ||
+      (mode == EvalMode::kCostBased &&
+       plan.RootCandidateCount() >= kMinRootCandidatesForPrediction);
+  if (!predict && !plan.strict_order) return plan;
   plan.steps.reserve(atoms.size());
-  plan.steps.push_back(
-      {root, rs.est, rs.bound, /*connected=*/false});
   std::vector<bool> done(atoms.size(), false);
   done[root] = true;
   std::vector<bool> var_in_prefix(q.num_vars(), false);
@@ -265,10 +275,6 @@ Plan Planner::MakePlan(const CQuery& q, const Assignment& binding,
   };
   absorb_atom_vars(root);
 
-  const bool predict =
-      force_predict ||
-      (mode == EvalMode::kCostBased &&
-       plan.RootCandidateCount() >= kMinRootCandidatesForPrediction);
   // Estimates one pending atom against the current prefix: exact posting
   // probes for ids known now, the column's average posting length for
   // variables the prefix will have bound, full row count otherwise.
@@ -298,14 +304,14 @@ Plan Planner::MakePlan(const CQuery& q, const Assignment& binding,
     if (fully) step.est = std::min(step.est, 1.0);
     return step;
   };
-  const bool rank = mode == EvalMode::kCostBased && predict;
+  const bool rank = predict && !plan.strict_order;
   while (plan.steps.size() < atoms.size()) {
     size_t best = atoms.size();
     PlanStep best_step;
     for (size_t i = 0; i < atoms.size(); ++i) {
       if (done[i]) continue;
       if (!rank) {
-        // Written order (or unpredicted tiny search): first pending atom.
+        // Strict written order: first pending atom.
         best = i;
         best_step = predict ? estimate_step(i) : PlanStep{i, 0.0, 0, false};
         break;

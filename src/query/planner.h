@@ -12,21 +12,25 @@
 
 namespace qoco::query {
 
-/// Which join-order engine Evaluator uses for unlimited searches. Limited
-/// searches (limit != 0 — satisfiability probes and the bounded extension
-/// counts of Algorithm 2) always run the legacy adaptive engine: *which*
-/// extension a bounded search finds first leaks into crowd questions, so
-/// their enumeration order is part of the transcript contract.
+/// How the Planner picks a plan's root (and whether the suffix is pinned).
+/// Evaluator plans unlimited coordinator searches under its set_mode()
+/// choice; bounded searches (limit != 0 — satisfiability probes and the
+/// capped extension counts of Algorithm 2) and searches on a pool worker
+/// always plan under kLegacyGreedy: *which* extension a bounded search
+/// finds first leaks into crowd questions, so their enumeration order is
+/// part of the transcript contract.
 enum class EvalMode {
   /// Cost-based plan: the planner picks the root atom by estimated output
   /// cardinality and pre-filters candidates with a semi-join reduction;
   /// below the root, expansion adapts over exact index counts (see
   /// DESIGN.md §Query planning for why the suffix stays adaptive).
   kCostBased,
-  /// The pre-planner engine, byte-for-byte: per-node adaptive greedy
-  /// (most bound positions, then fewest candidates). Bounded searches
-  /// always run it; Evaluator::set_mode selects it for unlimited ones
-  /// (the planner tests and bench/perf_optimizer.cc compare against it).
+  /// Greedy root: most resolved positions, then fewest candidates, then
+  /// the earliest atom — the executor's own per-node rule applied at the
+  /// root, so the whole search is per-node adaptive greedy. No semi-join,
+  /// no ColumnStats read. Bounded and worker-side searches always plan
+  /// this way; Evaluator::set_mode selects it for unlimited ones (the
+  /// planner tests and bench/perf_optimizer.cc compare against it).
   kLegacyGreedy,
   /// Atoms expand in the order the query was written, no reduction — the
   /// naive reference the equivalence fuzz and the adversarial-order
@@ -116,15 +120,16 @@ struct Plan {
                           const relational::Catalog& catalog) const;
 };
 
-/// Greedy cost-based join-order planner over ColumnStats.
+/// Join-order planner over exact index counts and ColumnStats.
 ///
-/// Root selection minimizes the *exact* candidate count of the first scan:
+/// Cost-based root selection minimizes the *exact* candidate count of the
+/// first scan:
 /// every term resolvable under the initial binding (constants and pre-bound
 /// variables) probes its real posting list, a fully-resolved atom costs at
 /// most one row (set semantics: at most one stored row can equal it), and
 /// an unresolved atom costs its full row count. Ties prefer more resolved
 /// positions, then the earlier atom — documented, deterministic, and
-/// coinciding with the legacy engine's choice whenever the legacy
+/// coinciding with the greedy root (kLegacyGreedy) whenever the
 /// most-bound-first rule is also cardinality-optimal.
 ///
 /// Suffix prediction ranks the remaining atoms by (connected to the prefix
@@ -134,15 +139,21 @@ struct Plan {
 class Planner {
  public:
   /// Both pointers must outlive the planner; `stats` is refreshed lazily
-  /// on the calling (coordinator) thread.
+  /// by the plans that read it.
   Planner(const relational::Database* db, const ColumnStats* stats)
       : db_(db), stats_(stats) {}
 
-  /// Plans Q under `binding`. `mode` must not be kLegacyGreedy (the legacy
-  /// engine never consults a plan). Suffix prediction is skipped for scans
-  /// too short to amortize it (the adaptive executor ignores the
-  /// prediction anyway); `force_predict` overrides that for EXPLAIN, which
-  /// always wants the estimates.
+  /// Plans Q under `binding` with `mode`'s root rule. Suffix prediction is
+  /// skipped for scans too short to amortize it and for every kLegacyGreedy
+  /// plan (the adaptive executor ignores the prediction anyway);
+  /// `force_predict` overrides that for EXPLAIN, which always wants the
+  /// estimates.
+  ///
+  /// Thread safety: a kLegacyGreedy plan without `force_predict` never
+  /// reads `stats` (it builds only steps[0], with no semi-join), so it
+  /// leaves the lazily refreshed cache untouched and may be built on a pool
+  /// worker concurrently with other searches; every other plan may refresh
+  /// `stats` and must be built on the coordinator thread.
   Plan MakePlan(const CQuery& q, const Assignment& binding, EvalMode mode,
                 bool force_predict = false) const;
 

@@ -1,7 +1,7 @@
 // Equivalence fuzz for the cost-based planner: across the figure-one /
-// soccer / dbgroup workloads and random edit sequences, the three
-// join-order engines (cost-based plan with semi-join reduction, strict
-// parse-order plan, and the pre-planner legacy greedy) must compute the
+// soccer / dbgroup workloads and random edit sequences, the three root
+// rules (cost-based plan with semi-join reduction, strict parse-order
+// plan, and the greedy root bounded searches use) must compute the
 // same answers with the same witness sets and the same valid-assignment
 // sets — the planner may only reorder work, never change what is found.
 // Each mode's rendered evaluation must additionally be byte-identical at 1

@@ -3,8 +3,9 @@
 // corruption injection through the friend backdoor), galloping sorted-id
 // intersection, deterministic root selection and tie-breaking, semi-join
 // reduction (root prefilter, allowed sets, infeasible empty intersections),
-// Plan::DebugString / Evaluator::ExplainPlan rendering, and the
-// QOCO_EXPLAIN environment hook of the cleaner.
+// greedy plans (bounded and worker-side searches) never refreshing the
+// stats cache, Plan::DebugString / Evaluator::ExplainPlan rendering, and
+// the QOCO_EXPLAIN environment hook of the cleaner.
 
 #include "src/query/planner.h"
 
@@ -17,6 +18,7 @@
 
 #include "src/cleaning/cleaner.h"
 #include "src/cleaning/union_cleaner.h"
+#include "src/common/thread_pool.h"
 #include "src/crowd/crowd_panel.h"
 #include "src/crowd/simulated_oracle.h"
 #include "src/query/column_stats.h"
@@ -370,7 +372,7 @@ TEST_F(PlannerTest, ExplainPlanRendersStepsAndSemiJoin) {
     ASSERT_TRUE(
         db_->Insert({facts_, {Value(std::to_string(i)), Value("t")}}).ok());
   }
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 3; i >= 0; --i) {
     ASSERT_TRUE(db_->Insert({dim_, {Value(std::to_string(i))}}).ok());
   }
   CQuery q = Parse("(x) :- Facts(x, y), Dim(x).");
@@ -385,10 +387,71 @@ TEST_F(PlannerTest, ExplainPlanRendersStepsAndSemiJoin) {
   // force it so every step still carries an estimate.
   EXPECT_NE(text.find("adaptive suffix"), std::string::npos) << text;
 
+  // The greedy rule roots the atom with the most resolved positions, Facts,
+  // although Dim has fewer rows (the cost-based root).
+  CQuery tagged = Parse("(x) :- Dim(x), Facts(x, 't').");
   eval.set_mode(EvalMode::kLegacyGreedy);
-  std::string legacy = eval.ExplainPlan(q);
+  std::string legacy = eval.ExplainPlan(tagged);
   EXPECT_NE(legacy.find("EXPLAIN (legacy-greedy)"), std::string::npos)
       << legacy;
+  EXPECT_NE(legacy.find("1. Facts(x, "), std::string::npos) << legacy;
+  EXPECT_NE(legacy.find("2. Dim(x)"), std::string::npos) << legacy;
+  // The dumped root is the atom the executor expands first: extensions
+  // come out in Facts' row order (keys ascending), not Dim's (descending).
+  std::vector<Assignment> greedy =
+      eval.FindExtensions(tagged, Empty(tagged), /*limit=*/0);
+  ASSERT_EQ(greedy.size(), 4u);
+  EXPECT_EQ(greedy.front().ToString(tagged), "{x -> 0}");
+  eval.set_mode(EvalMode::kCostBased);
+  EXPECT_NE(eval.ExplainPlan(tagged).find("1. Dim(x)"), std::string::npos);
+  std::vector<Assignment> cost_based =
+      eval.FindExtensions(tagged, Empty(tagged), /*limit=*/0);
+  ASSERT_EQ(cost_based.size(), 4u);
+  EXPECT_EQ(cost_based.front().ToString(tagged), "{x -> 3}");
+  // A bounded search plans greedy whatever the mode.
+  std::vector<Assignment> bounded =
+      eval.FindExtensions(tagged, Empty(tagged), /*limit=*/1);
+  ASSERT_EQ(bounded.size(), 1u);
+  EXPECT_EQ(bounded.front().ToString(tagged), "{x -> 0}");
+}
+
+TEST_F(PlannerTest, GreedyPlansNeverRefreshStats) {
+  // Large enough that an unlimited cost-based plan predicts its suffix
+  // from ColumnStats; bounded and worker-side searches plan greedy and
+  // must leave the stats cache untouched, which is what makes building
+  // their plans on pool workers race-free.
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(
+        db_->Insert({facts_, {Value(std::to_string(i)), Value("t")}}).ok());
+  }
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(db_->Insert({dim_, {Value(std::to_string(i))}}).ok());
+  }
+  CQuery q = Parse("(x, y) :- Facts(x, y), Facts(x, z), Dim(x).");
+  const Assignment empty = Empty(q);
+  Evaluator eval(db_.get());
+  EXPECT_TRUE(eval.IsSatisfiable(q, empty));
+  EXPECT_EQ(eval.FindExtensions(q, empty, /*limit=*/3).size(), 3u);
+  EXPECT_EQ(eval.stats().refreshes(), 0u);
+
+  common::ThreadPool pool(4);
+  Evaluator pooled(db_.get(), &pool);
+  db_->WarmIndexes();
+  std::vector<size_t> found(16, 0);
+  pool.ParallelFor(found.size(), [&](size_t i) {
+    // Alternate bounded and unlimited searches, all on workers.
+    found[i] =
+        pooled.FindExtensions(q, empty, /*limit=*/i % 2 == 0 ? 0 : 2).size();
+  });
+  for (size_t i = 0; i < found.size(); ++i) {
+    EXPECT_EQ(found[i], i % 2 == 0 ? 8u : 2u) << i;
+  }
+  EXPECT_EQ(pooled.stats().refreshes(), 0u);
+
+  // Contrast: an unlimited coordinator search plans cost-based and does
+  // read the stats.
+  EXPECT_EQ(eval.FindExtensions(q, empty, /*limit=*/0).size(), 8u);
+  EXPECT_GT(eval.stats().refreshes(), 0u);
 }
 
 TEST_F(PlannerTest, ExplainPlanRendersInfeasible) {

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/cleaning/add_missing_answer.h"
 #include "src/cleaning/aggregate_cleaner.h"
 #include "src/cleaning/cleaner.h"
 #include "src/cleaning/edit.h"
@@ -379,6 +380,157 @@ TEST(TranscriptGolden, SoccerEvaluationWitnesses) {
                   RenderEvaluation(*q, *dirty, threads));
     }
   }
+}
+
+/// One bounded search: a query, a binding to extend, and a limit.
+struct BoundedSearch {
+  std::shared_ptr<const query::CQuery> q;
+  std::string label;
+  query::Assignment binding;
+  size_t limit;
+};
+
+/// The bounded searches Algorithm 2 and the simulated crowd issue, over one
+/// view: Q from the empty binding, and for each answer t both Q from t's
+/// head binding and Q|t (t's constants substituted) from the empty binding,
+/// each at limits 1 (IsSatisfiable), 2, and the subquery cap + 1 (the
+/// split-count probe of AddMissingAnswer).
+void AddBoundedSearches(const query::CQuery& view, const std::string& name,
+                        Database* db, std::vector<BoundedSearch>* out) {
+  const size_t kLimits[] = {
+      1, 2, cleaning::InsertionConfig{}.max_assignments_per_subquery + 1};
+  auto q = std::make_shared<const query::CQuery>(view);
+  std::vector<BoundedSearch> bases;
+  auto add_base = [&](std::shared_ptr<const query::CQuery> sq,
+                      std::string label, query::Assignment binding) {
+    bases.push_back({std::move(sq), name + " " + label, std::move(binding),
+                     /*limit=*/0});
+  };
+  add_base(q, "{}", query::Assignment(q->num_vars(), &db->dict()));
+  for (const Tuple& t : query::Evaluator(db).Evaluate(*q).AnswerTuples()) {
+    query::Assignment head(q->num_vars(), &db->dict());
+    for (size_t i = 0; i < q->head().size(); ++i) {
+      if (q->head()[i].is_variable()) head.Bind(q->head()[i].var(), t[i]);
+    }
+    add_base(q, TupleToString(t), std::move(head));
+    auto q_t = q->InstantiateAnswer(t);
+    ASSERT_TRUE(q_t.ok()) << q_t.status().ToString();
+    auto instantiated =
+        std::make_shared<const query::CQuery>(std::move(q_t).value());
+    add_base(instantiated, "Q|" + TupleToString(t),
+             query::Assignment(instantiated->num_vars(), &db->dict()));
+  }
+  for (const BoundedSearch& base : bases) {
+    for (size_t limit : kLimits) {
+      out->push_back({base.q, base.label, base.binding, limit});
+    }
+  }
+}
+
+/// Renders each search's extensions in the order FindExtensions returns
+/// them. `results[i]` belongs to `searches[i]`.
+std::string RenderBoundedSearches(
+    const std::vector<BoundedSearch>& searches,
+    const std::vector<std::vector<query::Assignment>>& results) {
+  std::string out;
+  for (size_t i = 0; i < searches.size(); ++i) {
+    const BoundedSearch& s = searches[i];
+    out += "search " + s.label + " limit " + std::to_string(s.limit) + "\n";
+    for (const query::Assignment& a : results[i]) {
+      out += "  " + a.ToString(*s.q) + "\n";
+    }
+  }
+  return out;
+}
+
+TEST(TranscriptGolden, BoundedSearchOrder) {
+  // Which extension a bounded search finds first becomes a crowd question
+  // (COMPL candidates, split counts, satisfiability probes), so the
+  // enumeration order of limited FindExtensions calls is pinned here —
+  // serially, from the coordinator of an 8-thread pool, and from inside
+  // that pool's workers.
+  auto sample = workload::MakeFigureOneSample();
+  ASSERT_TRUE(sample.ok());
+  workload::SoccerParams params;
+  params.num_tournaments = 8;
+  params.teams_per_tournament = 10;
+  params.group_games_per_tournament = 8;
+  params.players_per_team = 6;
+  auto soccer = workload::MakeSoccerData(params);
+  ASSERT_TRUE(soccer.ok());
+  auto dbgroup = workload::MakeDbGroupData(workload::DbGroupParams{});
+  ASSERT_TRUE(dbgroup.ok());
+
+  struct Input {
+    std::string name;
+    const Database* db;
+    std::vector<BoundedSearch> searches;
+  };
+  std::vector<Input> inputs;
+  inputs.push_back({"fig1", sample->dirty.get(), {}});
+  AddBoundedSearches(sample->q1, "fig1-q1", sample->dirty.get(),
+                     &inputs.back().searches);
+  AddBoundedSearches(sample->q2, "fig1-q2", sample->dirty.get(),
+                     &inputs.back().searches);
+  std::vector<query::CQuery> soccer_queries;
+  std::vector<Database> soccer_dbs;
+  soccer_queries.reserve(3);
+  soccer_dbs.reserve(3);
+  for (size_t qi = 1; qi <= 3; ++qi) {
+    auto q = workload::SoccerQuery(qi, *soccer->catalog);
+    ASSERT_TRUE(q.ok());
+    workload::NoiseParams noise;
+    noise.seed = 40 + qi;
+    auto dirty = workload::MakeDirty(*soccer->ground_truth, noise);
+    ASSERT_TRUE(dirty.ok());
+    soccer_queries.push_back(std::move(q).value());
+    soccer_dbs.push_back(std::move(dirty).value());
+  }
+  for (size_t i = 0; i < soccer_queries.size(); ++i) {
+    const std::string name = "soccer-q" + std::to_string(i + 1);
+    inputs.push_back({name, &soccer_dbs[i], {}});
+    AddBoundedSearches(soccer_queries[i], name, &soccer_dbs[i],
+                       &inputs.back().searches);
+  }
+  inputs.push_back({"dbgroup", dbgroup->dirty.get(), {}});
+  for (size_t qi = 0; qi < dbgroup->report_queries.size(); ++qi) {
+    AddBoundedSearches(dbgroup->report_queries[qi],
+                       "dbgroup-q" + std::to_string(qi), dbgroup->dirty.get(),
+                       &inputs.back().searches);
+  }
+
+  std::string serial_out, coordinator_out, worker_out;
+  common::ThreadPool pool(8);
+  for (const Input& in : inputs) {
+    const std::vector<BoundedSearch>& searches = in.searches;
+    std::vector<std::vector<query::Assignment>> serial(searches.size());
+    std::vector<std::vector<query::Assignment>> coordinator(searches.size());
+    std::vector<std::vector<query::Assignment>> worker(searches.size());
+    query::Evaluator serial_eval(in.db);
+    query::Evaluator pooled_eval(in.db, &pool);
+    for (size_t i = 0; i < searches.size(); ++i) {
+      const BoundedSearch& s = searches[i];
+      serial[i] = serial_eval.FindExtensions(*s.q, s.binding, s.limit);
+      coordinator[i] = pooled_eval.FindExtensions(*s.q, s.binding, s.limit);
+    }
+    // Workers only probe indexes; build them all before fanning out.
+    in.db->WarmIndexes();
+    std::vector<char> on_worker(searches.size(), 0);
+    pool.ParallelFor(searches.size(), [&](size_t i) {
+      on_worker[i] = pool.OnWorkerThread() ? 1 : 0;
+      const BoundedSearch& s = searches[i];
+      worker[i] = pooled_eval.FindExtensions(*s.q, s.binding, s.limit);
+    });
+    for (size_t i = 0; i < searches.size(); ++i) {
+      EXPECT_TRUE(on_worker[i]) << in.name << " search " << i;
+    }
+    serial_out += RenderBoundedSearches(searches, serial);
+    coordinator_out += RenderBoundedSearches(searches, coordinator);
+    worker_out += RenderBoundedSearches(searches, worker);
+  }
+  CheckGolden("bounded-search-order", serial_out);
+  EXPECT_EQ(coordinator_out, serial_out);
+  EXPECT_EQ(worker_out, serial_out);
 }
 
 }  // namespace

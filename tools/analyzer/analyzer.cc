@@ -396,7 +396,7 @@ const SelfTestCase kCases[] = {
     {"binary-search", "adhoc-search", false, "src/a.cc",
      "size_t lo = BinarySearch(ids, key);"},
     {"search-qualified", "adhoc-search", false, "src/a.cc",
-     "Search::RootPlan plan = planner.PlanRoot();"},
+     "Search::AtomScore score = search.Score(0);"},
     {"search-in-evaluator", "adhoc-search", false, "src/query/evaluator.cc",
      "Search search(q, *db_, binding, 0, &out);"},
 

@@ -132,7 +132,8 @@ tmpdir = sys.argv[1]
 
 kToNs = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
-# Engine argument values (query::EvalMode): 0 cost-based, 1 legacy greedy.
+# Engine argument values (query::EvalMode): 0 cost-based root, 1 greedy
+# root (the rule bounded searches plan with); one executor runs both.
 # perf_optimizer also labels every run with the planned atom order and
 # reports answers/tuples counters; carry all of it into the artifact.
 with open(f"{tmpdir}/optimizer.json") as f:
