@@ -400,30 +400,25 @@ void AddBoundedSearches(const query::CQuery& view, const std::string& name,
   const size_t kLimits[] = {
       1, 2, cleaning::InsertionConfig{}.max_assignments_per_subquery + 1};
   auto q = std::make_shared<const query::CQuery>(view);
-  std::vector<BoundedSearch> bases;
-  auto add_base = [&](std::shared_ptr<const query::CQuery> sq,
-                      std::string label, query::Assignment binding) {
-    bases.push_back({std::move(sq), name + " " + label, std::move(binding),
-                     /*limit=*/0});
+  auto add = [&](const std::shared_ptr<const query::CQuery>& sq,
+                 const std::string& label, const query::Assignment& binding) {
+    for (size_t limit : kLimits) {
+      out->push_back({sq, name + " " + label, binding, limit});
+    }
   };
-  add_base(q, "{}", query::Assignment(q->num_vars(), &db->dict()));
+  add(q, "{}", query::Assignment(q->num_vars(), &db->dict()));
   for (const Tuple& t : query::Evaluator(db).Evaluate(*q).AnswerTuples()) {
     query::Assignment head(q->num_vars(), &db->dict());
     for (size_t i = 0; i < q->head().size(); ++i) {
       if (q->head()[i].is_variable()) head.Bind(q->head()[i].var(), t[i]);
     }
-    add_base(q, TupleToString(t), std::move(head));
+    add(q, TupleToString(t), head);
     auto q_t = q->InstantiateAnswer(t);
     ASSERT_TRUE(q_t.ok()) << q_t.status().ToString();
     auto instantiated =
         std::make_shared<const query::CQuery>(std::move(q_t).value());
-    add_base(instantiated, "Q|" + TupleToString(t),
-             query::Assignment(instantiated->num_vars(), &db->dict()));
-  }
-  for (const BoundedSearch& base : bases) {
-    for (size_t limit : kLimits) {
-      out->push_back({base.q, base.label, base.binding, limit});
-    }
+    add(instantiated, "Q|" + TupleToString(t),
+        query::Assignment(instantiated->num_vars(), &db->dict()));
   }
 }
 
